@@ -422,16 +422,21 @@ func (e *Empirical) Window() int { return e.cols.Capacity() }
 func (e *Empirical) IsView() bool { return e.view }
 
 // SnapshotView freezes the estimator's current window into an immutable
-// copy-on-write view: a RAM ring's columns are cloned (reusing recycle's
-// backing, so a steady-state publisher allocates nothing), while a
-// spill-backed estimator shares its sealed mmap'd segments by reference —
-// each view holds a per-segment reference count, so seal, ReleaseMapped and
-// Close on the source can never unmap a page under the view's count sweeps
-// — and copies only the small active-buffer delta. Every probability the
-// view reports is bit-identical to what the source would have reported at
-// snapshot time, because both are pure functions of the same integer
-// counts. The source's pattern histogram, if materialized, is copied so a
-// theorem-estimator view never pays the O(window·paths) rebuild.
+// copy-on-write view. A RAM ring's columns are cloned with
+// snapstore.Store.SnapshotInto into recycle's backing: O(rows changed)
+// when recycle is an earlier view of this estimator, since only the words
+// covering the slots appended and evicted since are copied, and one full
+// column copy otherwise. A spill-backed estimator shares its sealed mmap'd
+// segments by reference — each view holds a per-segment reference count,
+// so seal, ReleaseMapped and Close on the source can never unmap a page
+// under the view's count sweeps — and copies only the active-buffer rows
+// appended since recycle (the whole buffer after a seal). Every
+// probability the view reports is bit-identical to what the source would
+// have reported at snapshot time, because both are pure functions of the
+// same integer counts. The source's pattern histogram, if materialized, is
+// copied so a theorem-estimator view never pays the O(window·paths)
+// rebuild; recycle's count boxes are reused, so only patterns recycle has
+// never held allocate. CopyCost reports the column words copied.
 //
 // recycle, when non-nil, must be a view from a previous SnapshotView on a
 // same-shaped estimator; it is closed and its storage reused. The returned
@@ -467,8 +472,8 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 		v.cols, v.ring = rc, rc.store
 	case e.tiered != nil:
 		tv, _ := v.cols.(*segstore.TieredView)
-		v.cols = e.tiered.SnapshotView(tv)
-		v.ring = nil
+		tv = e.tiered.SnapshotView(tv)
+		v.cols, v.ring = tv, nil
 	default:
 		panic("measure: SnapshotView requires a ring- or spill-backed estimator")
 	}
@@ -480,11 +485,19 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 	if e.patterns != nil {
 		if v.patterns == nil {
 			v.patterns = make(map[string]*int, len(e.patterns))
-		} else {
-			clear(v.patterns)
+		}
+		// Overwrite the counts recycle already boxes (zero counts answer
+		// like absent keys), drop the keys the source has pruned, and box
+		// only live patterns recycle has never held.
+		for k, q := range v.patterns {
+			if p, ok := e.patterns[k]; ok {
+				*q = *p
+			} else {
+				delete(v.patterns, k)
+			}
 		}
 		for k, p := range e.patterns {
-			if *p > 0 {
+			if _, ok := v.patterns[k]; !ok && *p > 0 {
 				n := *p
 				v.patterns[k] = &n
 			}
@@ -494,6 +507,20 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 	}
 	v.deadPatterns = 0
 	return v
+}
+
+// CopyCost reports what the SnapshotView that produced this view copied:
+// column words summed over every series (for a spill-backed view, of the
+// active buffer only) and whether that was a full copy rather than the
+// delta since the recycled view. Zero for an estimator that is not a view.
+func (e *Empirical) CopyCost() (words int, full bool) {
+	if !e.view {
+		return 0, false
+	}
+	if e.ring != nil {
+		return e.ring.CopyCost()
+	}
+	return e.cols.(*segstore.TieredView).CopyCost()
 }
 
 // PrimePatterns materializes the congested-pattern histogram now (a no-op

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/snapstore"
@@ -41,6 +42,7 @@ import (
 // which synchronize on mu + per-segment reference counts so a mapping is
 // never torn down or madvised away under a concurrent view reader.
 type TieredStore struct {
+	id       uint64 // names the store as a SnapshotView source
 	dir      string
 	series   int
 	capacity int
@@ -98,6 +100,7 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 	}
 	words := segRows / wordBits
 	ts := &TieredStore{
+		id:       storeIDs.Add(1),
 		dir:      opts.Dir,
 		series:   series,
 		capacity: capacity,
@@ -120,6 +123,10 @@ func NewTiered(series, capacity int, opts Options) (*TieredStore, error) {
 	}
 	return ts, nil
 }
+
+// storeIDs hands out TieredStore ids; 0 is never issued, so a fresh view
+// matches no source.
+var storeIDs atomic.Uint64
 
 // resetDir removes an existing store (manifest, segments, stray temp files)
 // from dir.

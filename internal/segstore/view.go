@@ -11,10 +11,12 @@ import (
 // built by SnapshotView for estimate-side read replicas: the sealed
 // segments are shared by reference (each view holds one reference count per
 // segment, so the owner's seal/ReleaseMapped/Close can never unmap or
-// madvise a mapping under the view's count sweeps) and only the small
-// active write buffer is copied. Count queries answer exactly what the
-// source store would have answered at snapshot time, bit-identically —
-// the copy-on-write contract the serving layer's replica estimates pin.
+// madvise a mapping under the view's count sweeps) and only the active
+// write buffer is copied — and of it, when the view is recycled from the
+// same store, only the rows appended since. Count queries answer exactly
+// what the source store would have answered at snapshot time,
+// bit-identically — the copy-on-write contract the serving layer's replica
+// estimates pin.
 //
 // A view is safe for use by one reader goroutine at a time (its count
 // methods share scratch-free segment kernels but the measure layer above
@@ -36,15 +38,23 @@ type TieredView struct {
 	active  segment    // copied write buffer
 	backing []uint64   // active's column words, reused across recycles
 	closed  bool
+
+	from       uint64 // id of the store backing was copied from (0: none)
+	copied     int    // active-buffer words the last SnapshotView copied
+	copiedFull bool   // whether that was the whole buffer
 }
 
 // SnapshotView freezes the store's retained window into an immutable view.
 // Sealed segments are retained by reference — O(segments) pointer work —
-// and the active buffer (at most SegmentRows rows) is copied, so the cost
-// is independent of the window size. Passing a previous view as recycle
-// closes it and reuses its buffers; a steady-state publisher allocates
-// nothing. Must be called by the store's owning goroutine (it reads the
-// active buffer), which is also why the returned view observes a
+// and the active buffer is copied: in full (at most SegmentRows rows) for
+// a fresh view, a view of another store, or after a seal, but only the
+// words covering the rows appended since when recycle is an earlier view
+// of this store whose buffer is still the active one (appends are the
+// buffer's only writes until the next seal restarts it). The cost is
+// independent of the window size either way. Passing a previous view as
+// recycle closes it and reuses its buffers; a steady-state publisher
+// allocates nothing. Must be called by the store's owning goroutine (it
+// reads the active buffer), which is also why the returned view observes a
 // consistent window.
 func (ts *TieredStore) SnapshotView(recycle *TieredView) *TieredView {
 	if ts.closed {
@@ -62,6 +72,21 @@ func (ts *TieredStore) SnapshotView(recycle *TieredView) *TieredView {
 			v.active.meta[i] = colMeta{lo: 0, hi: ts.words, off: i * ts.words}
 		}
 	}
+	if v.from == ts.id && v.active.base == ts.active.base {
+		// Rows [v.n, ts.n) of the same buffer generation: copy the words
+		// holding them, from the one v.n's row shares with older rows.
+		lo := (v.n - ts.active.base) / wordBits
+		hi := (ts.n - ts.active.base + wordBits - 1) / wordBits
+		for i := 0; i < ts.series; i++ {
+			off := i * ts.words
+			copy(v.backing[off+lo:off+hi], ts.backing[off+lo:off+hi])
+		}
+		v.copied, v.copiedFull = (hi-lo)*ts.series, false
+	} else {
+		copy(v.backing, ts.backing)
+		v.copied, v.copiedFull = len(ts.backing), true
+	}
+	v.from = ts.id
 	v.closed = false
 	v.capacity = ts.capacity
 	v.n, v.retained = ts.n, ts.retained
@@ -77,13 +102,17 @@ func (ts *TieredStore) SnapshotView(recycle *TieredView) *TieredView {
 	if len(v.segs) > 0 {
 		v.segOff = v.segs[0].base / ts.segRows
 	}
-	copy(v.backing, ts.backing)
 	for i := range ts.active.meta {
 		v.active.meta[i].pop = ts.active.meta[i].pop
 	}
 	v.active.base = ts.active.base
 	return v
 }
+
+// CopyCost reports what the SnapshotView that produced this view copied:
+// active-buffer words summed over every series, and whether that was the
+// whole buffer rather than the rows appended since the recycled view.
+func (v *TieredView) CopyCost() (words int, full bool) { return v.copied, v.copiedFull }
 
 // NumSeries returns the number of columns.
 func (v *TieredView) NumSeries() int { return v.series }

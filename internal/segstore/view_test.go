@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -232,5 +233,112 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// sameActive reports whether two views froze the same window and hold the
+// same active buffer word for word, with the same per-column popcounts.
+func sameActive(a, b *TieredView) bool {
+	if a.n != b.n || a.retained != b.retained || a.active.base != b.active.base ||
+		len(a.backing) != len(b.backing) || len(a.segs) != len(b.segs) {
+		return false
+	}
+	for w := range a.backing {
+		if a.backing[w] != b.backing[w] {
+			return false
+		}
+	}
+	for i := range a.active.meta {
+		if a.active.meta[i].pop != b.active.meta[i].pop {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSnapshotViewDeltaMatchesFullCopy pins the recycled view's delta copy:
+// over random appends (set and word paths), evictions and drops that seal
+// many segments, a view recycled from the same store — one generation old
+// or several, across a seal or not, or last frozen from another store —
+// holds exactly the active buffer a fresh view copies in full, and
+// CopyCost reports a delta only while the buffer generation is unchanged.
+func TestSnapshotViewDeltaMatchesFullCopy(t *testing.T) {
+	const series, segRows, capacity = 70, 128, 300
+	rng := rand.New(rand.NewSource(5))
+	ts, err := NewTiered(series, capacity, Options{Dir: t.TempDir(), SegmentRows: segRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	other, err := NewTiered(series, capacity, Options{Dir: t.TempDir(), SegmentRows: segRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+
+	row := bitset.New(series)
+	rowWords := make([]uint64, (series+wordBits-1)/wordBits)
+	appendOne := func(s *TieredStore, tick int) {
+		fillRow(row, series, tick, 2+rng.Intn(6))
+		if rng.Intn(2) == 0 {
+			s.AppendEvict(row, nil)
+			return
+		}
+		for i := range rowWords {
+			rowWords[i] = 0
+		}
+		row.ForEach(func(i int) bool { rowWords[i/wordBits] |= 1 << uint(i%wordBits); return true })
+		s.AppendEvictWords(rowWords, nil)
+	}
+
+	views := make([]*TieredView, 3)
+	deltas := 0
+	for step, tick := 0, 0; step < 400; step++ {
+		switch op := rng.Intn(8); {
+		case op < 5:
+			for k := rng.Intn(segRows / 2); k >= 0; k-- {
+				appendOne(ts, tick)
+				tick++
+			}
+		case op < 6:
+			ts.EvictOldest(nil)
+		case op < 7:
+			ts.DropOldest(rng.Intn(capacity / 4))
+		default:
+			appendOne(other, tick)
+			tick++
+		}
+		c := rng.Intn(len(views))
+		v := views[c]
+		if v != nil && rng.Intn(6) == 0 {
+			v = other.SnapshotView(v)
+		}
+		wantFull := v == nil || v.from != ts.id || v.active.base != ts.active.base
+		v = ts.SnapshotView(v)
+		views[c] = v
+		ref := ts.SnapshotView(nil)
+		if !sameActive(v, ref) {
+			t.Fatalf("step %d: recycled view differs from a full copy", step)
+		}
+		ref.Close()
+		words, full := v.CopyCost()
+		if full != wantFull {
+			t.Fatalf("step %d: CopyCost full = %v, want %v", step, full, wantFull)
+		}
+		if full && words != series*segRows/wordBits || !full && words > series*segRows/wordBits {
+			t.Fatalf("step %d: copied %d words (full %v), buffer holds %d", step, words, full, series*segRows/wordBits)
+		}
+		if !full {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("no recycle took the delta path")
+	}
+	if ts.SealedSegments() < 4 {
+		t.Fatalf("only %d seals: the replay must cross several", ts.SealedSegments())
+	}
+	for _, v := range views {
+		v.Close()
 	}
 }

@@ -49,16 +49,6 @@ func TestDaemonMatchesOfflineReplayBinary(t *testing.T) {
 	runOfflineDifferentialWire(t, Config{Shards: 2, QueueDepth: 64}, "binary")
 }
 
-// TestDaemonMatchesOfflineReplayBatchedPublication re-runs the binary-wire
-// differential replay with view publication batched (every 8 applied
-// batches instead of each one) on an off-worker estimate pool. The
-// queue-drain flush in the shard worker must keep every estimate answerable
-// and bit-identical — batched publication trades view freshness for
-// publication cost, never correctness.
-func TestDaemonMatchesOfflineReplayBatchedPublication(t *testing.T) {
-	runOfflineDifferentialWire(t, Config{Shards: 2, QueueDepth: 64, EstimateWorkers: 2, PublishEveryBatches: 8}, "binary")
-}
-
 func runOfflineDifferential(t *testing.T, cfg Config) {
 	runOfflineDifferentialWire(t, cfg, "json")
 }

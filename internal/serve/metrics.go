@@ -29,6 +29,8 @@ type metrics struct {
 	estimateErrors      atomic.Int64 // estimate requests that failed (incl. warming)
 	changePoints        atomic.Int64 // CUSUM change-point alerts across tenants
 	viewsPublished      atomic.Int64 // window views published to estimate replicas
+	viewPublishFull     atomic.Int64 // publications that copied the whole window
+	viewPublishWords    atomic.Int64 // column words copied by publications
 	estimateLatency     histogram    // enqueue-to-reply estimate latency
 }
 
@@ -130,6 +132,8 @@ func (m *metrics) writeTo(w io.Writer, tenants []tenantStats, queueLens []int, e
 	counter("tomod_estimate_errors_total", "Estimate requests that failed (including window warm-up).", m.estimateErrors.Load())
 	counter("tomod_change_points_total", "CUSUM change-point alerts across all tenants.", m.changePoints.Load())
 	counter("tomod_views_published_total", "Window views published to the estimate replicas.", m.viewsPublished.Load())
+	counter("tomod_view_publish_full_total", "View publications that fell back to copying the whole window (or spill buffer).", m.viewPublishFull.Load())
+	counter("tomod_view_publish_words_total", "Column words copied by view publications.", m.viewPublishWords.Load())
 
 	fmt.Fprintf(w, "# HELP tomod_estimate_latency_seconds Enqueue-to-reply estimate latency.\n")
 	fmt.Fprintf(w, "# TYPE tomod_estimate_latency_seconds summary\n")

@@ -59,12 +59,13 @@ func (b *viewBox) release() {
 }
 
 // publishView freezes the tenant's window into a new viewBox and swaps it
-// in as the latest. Called by the tenant's shard worker per the publication
-// policy — after each applied batch by default, every
-// Config.PublishEveryBatches batches (with the queue-drain flushes worker
-// documents) otherwise — and once at registration, so warming tenants have
-// a view to answer from. The previous box is retired, and its view either
-// recycled into the new one (no readers) or closed by its last reader.
+// in as the latest. Called by the tenant's shard worker after each applied
+// batch, and once at registration, so warming tenants have a view to
+// answer from. The previous box is retired, and its view either recycled
+// into the new one (no readers) or closed by its last reader. A recycled
+// view is one batch behind the window, so Window.View copies only the rows
+// that batch changed; a publish an estimate overlaps builds a fresh view
+// with a full copy.
 func (d *Daemon) publishView(t *Tenant) {
 	old := t.view.Load()
 	var recycle *tomography.WindowView
@@ -86,11 +87,12 @@ func (d *Daemon) publishView(t *Tenant) {
 	if old != nil {
 		close(old.changed)
 	}
-	// Publication-policy bookkeeping; same ownership as the caller (the
-	// tenant's shard worker, or Register before the tenant is visible).
-	t.pendingBatches = 0
-	t.lastPublished = box.published
 	d.metrics.viewsPublished.Add(1)
+	words, full := box.view.CopyCost()
+	d.metrics.viewPublishWords.Add(int64(words))
+	if full {
+		d.metrics.viewPublishFull.Add(1)
+	}
 }
 
 // estJob is one estimate request on the estimate pool's queue. target is

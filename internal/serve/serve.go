@@ -53,18 +53,6 @@ type Config struct {
 	// SpillSegmentRows overrides the rows per sealed segment when SpillDir
 	// is set (0 ⇒ the segstore default; must be a multiple of 64).
 	SpillSegmentRows int
-	// PublishEveryBatches batches read-replica view publication: a shard
-	// worker publishes a fresh view for a tenant only every N applied
-	// batches (0 or 1 ⇒ after every batch, the default). Regardless of the
-	// setting, the worker publishes every tenant it has left unpublished
-	// whenever its queue is empty and when it drains on shutdown, so an
-	// estimate waiting for its read-your-accepted-writes target never
-	// waits on a view that will not come.
-	PublishEveryBatches int
-	// PublishMaxAge caps view staleness when PublishEveryBatches > 1: the
-	// worker also publishes on the next applied batch once the tenant's
-	// current view is at least this old (0 ⇒ no age trigger).
-	PublishMaxAge time.Duration
 }
 
 // Daemon is the multi-tenant serving core: tenant registry, shard workers,

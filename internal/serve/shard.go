@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	tomography "repro"
 )
@@ -29,35 +28,12 @@ type shard struct {
 	queue chan job
 }
 
-// shouldPublish decides whether the worker publishes a fresh view after
-// the batch it just applied: always by default (PublishEveryBatches ≤ 1),
-// otherwise once the tenant has accumulated PublishEveryBatches applied
-// batches since its last view, or once that view is PublishMaxAge old.
-func (d *Daemon) shouldPublish(t *Tenant) bool {
-	if d.cfg.PublishEveryBatches <= 1 {
-		return true
-	}
-	if t.pendingBatches >= d.cfg.PublishEveryBatches {
-		return true
-	}
-	return d.cfg.PublishMaxAge > 0 && time.Since(t.lastPublished) >= d.cfg.PublishMaxAge
-}
-
 // worker drains one shard until its queue closes (daemon shutdown),
-// publishing read-replica views per the publication policy (shouldPublish).
-//
-// dirty tracks tenants with applied-but-unpublished batches. The liveness
-// invariant the estimate pool relies on — every accepted batch is
-// eventually covered by a published view — must survive batched
-// publication: a count/age threshold alone could leave tenant A's last
-// batch unpublished forever while later queue traffic belongs to tenant B,
-// deadlocking an estimate waiting on A's view. So whenever the queue is
-// observed empty after a job, and again when the queue closes on shutdown,
-// every dirty tenant is published. Under the default publish-per-batch
-// policy dirty stays empty and behavior is unchanged.
+// publishing a read-replica view after every applied batch — so every
+// accepted batch is covered by a published view, the liveness invariant
+// the estimate pool's read-your-accepted-writes wait relies on.
 func (d *Daemon) worker(s *shard) {
 	defer d.wg.Done()
-	dirty := make(map[*Tenant]struct{})
 	for j := range s.queue {
 		switch {
 		case j.block != nil:
@@ -74,23 +50,8 @@ func (d *Daemon) worker(s *shard) {
 			putWordBatch(j.batch)
 			t.syncStats()
 			d.metrics.ingestSnapshots.Add(int64(rows))
-			t.pendingBatches++
-			if d.shouldPublish(t) {
-				d.publishView(t)
-				delete(dirty, t)
-			} else {
-				dirty[t] = struct{}{}
-			}
+			d.publishView(t)
 		}
-		if len(dirty) > 0 && len(s.queue) == 0 {
-			for t := range dirty {
-				d.publishView(t)
-				delete(dirty, t)
-			}
-		}
-	}
-	for t := range dirty {
-		d.publishView(t)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	tomography "repro"
 	"repro/internal/topology"
@@ -67,18 +66,9 @@ type Tenant struct {
 	// bit-identical to the old through-the-shard-queue ordering.
 	accepted atomic.Int64
 	// view is the tenant's latest published read-replica view; the shard
-	// worker swaps in a fresh one per the publication policy
-	// (Config.PublishEveryBatches / PublishMaxAge — after every applied
-	// batch by default), the estimate pool reads it. Never nil once the
-	// tenant is registered.
+	// worker swaps in a fresh one after every applied batch, the estimate
+	// pool reads it. Never nil once the tenant is registered.
 	view atomic.Pointer[viewBox]
-
-	// pendingBatches and lastPublished drive the view-publication policy:
-	// batches applied since the last publish, and when that publish
-	// happened. Touched only by the tenant's shard worker (and by Register
-	// before the tenant is visible), so plain fields suffice.
-	pendingBatches int
-	lastPublished  time.Time
 }
 
 // Name returns the tenant's registry key.

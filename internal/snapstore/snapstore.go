@@ -32,6 +32,7 @@ package snapstore
 import (
 	"fmt"
 	mathbits "math/bits"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -61,14 +62,29 @@ type Store struct {
 	// Ring-window state (NewRing). capacity == 0 means an unbounded store.
 	capacity int // max snapshots retained; columns hold ⌈capacity/64⌉ words
 	retained int // snapshots currently in the window
+
+	// id names the store as a SnapshotInto source. The clone fields are set
+	// on a SnapshotInto destination: the source's id and its (n, retained)
+	// at copy time, from which the next SnapshotInto from that source works
+	// out which slots changed since; copied/copiedFull record what that
+	// SnapshotInto cost.
+	id                    uint64
+	cloneOf               uint64
+	cloneN, cloneRetained int
+	copied                int
+	copiedFull            bool
 }
+
+// storeIDs hands out Store ids; 0 is never issued, so a store that was
+// never a SnapshotInto destination matches no source.
+var storeIDs atomic.Uint64
 
 // New returns an empty streaming store with the given number of series.
 func New(series int) *Store {
 	if series < 0 {
 		series = 0
 	}
-	return &Store{cols: make([][]uint64, series)}
+	return &Store{cols: make([][]uint64, series), id: storeIDs.Add(1)}
 }
 
 // NewFixed returns a store preallocated for exactly the given snapshot
@@ -529,9 +545,17 @@ func (s *Store) Rows() []*bitset.Set {
 // mismatched dst is reallocated. The clone is an independent Store: the
 // source may keep appending without affecting it. SnapshotInto must not run
 // concurrently with writes to either store, like every writer-side method.
+//
+// The cost is O(rows changed), not O(window), when dst is an unmodified
+// earlier clone of this ring store — of any earlier generation: only the
+// column words covering the slots appended and evicted since that clone
+// are copied (see changedSpans). Any other dst — fresh, reshaped, cloned
+// from a different store, written since, or behind by at least the
+// capacity — takes a full copy. Either way every word of the clone equals
+// the source's word. CopyCost reports which path the call took.
 func (s *Store) SnapshotInto(dst *Store) *Store {
 	if dst == nil {
-		dst = &Store{}
+		dst = &Store{id: storeIDs.Add(1)}
 	}
 	words := s.Words()
 	fit := len(dst.cols) == len(s.cols)
@@ -547,11 +571,87 @@ func (s *Store) SnapshotInto(dst *Store) *Store {
 			}
 		}
 	}
-	for i, col := range s.cols {
-		copy(dst.cols[i], col)
+	var spans [4]wordSpan
+	k, ok := 0, false
+	if dst.cloneOf == s.id && dst.n == dst.cloneN && dst.retained == dst.cloneRetained {
+		k, ok = s.changedSpans(dst.cloneN, dst.cloneRetained, &spans)
+	}
+	if ok {
+		copied := 0
+		for _, sp := range spans[:k] {
+			for i, col := range s.cols {
+				copy(dst.cols[i][sp.lo:sp.hi], col[sp.lo:sp.hi])
+			}
+			copied += sp.hi - sp.lo
+		}
+		dst.copied, dst.copiedFull = copied*len(s.cols), false
+	} else {
+		for i, col := range s.cols {
+			copy(dst.cols[i], col)
+		}
+		dst.copied, dst.copiedFull = words*len(s.cols), true
 	}
 	dst.n, dst.capacity, dst.retained = s.n, s.capacity, s.retained
+	dst.cloneOf, dst.cloneN, dst.cloneRetained = s.id, s.n, s.retained
 	return dst
+}
+
+// CopyCost reports what the SnapshotInto that last filled this store cost:
+// the column words it copied (summed over every series) and whether it was
+// a full copy rather than a delta.
+func (s *Store) CopyCost() (words int, full bool) { return s.copied, s.copiedFull }
+
+// wordSpan is a half-open range [lo, hi) of column word indices.
+type wordSpan struct{ lo, hi int }
+
+// changedSpans lists, sorted and merged into spans, the column word ranges
+// of a ring store that may differ from their contents when the store held
+// (n0, r0). A ring's words change only where appends wrote — lifetime rows
+// [n0, n) — and where evictions cleared — lifetime rows [n0−r0, n−retained)
+// — each at most two linear slot spans mod capacity, mirroring DropOldest's
+// split. ok is false for an unbounded store, whose SetBit writes anywhere,
+// and for a range of at least the capacity, which touches every slot.
+func (s *Store) changedSpans(n0, r0 int, spans *[4]wordSpan) (k int, ok bool) {
+	appended := s.n - n0
+	evicted := (s.n - s.retained) - (n0 - r0)
+	if s.capacity == 0 || appended >= s.capacity || evicted >= s.capacity {
+		return 0, false
+	}
+	add := func(p, m int) {
+		if m > 0 {
+			spans[k] = wordSpan{p / wordBits, (p+m-1)/wordBits + 1}
+			k++
+		}
+	}
+	for _, r := range [2]struct{ from, m int }{{n0, appended}, {n0 - r0, evicted}} {
+		start := r.from % s.capacity
+		first := r.m
+		if start+first > s.capacity {
+			first = s.capacity - start
+		}
+		add(start, first)
+		add(0, r.m-first)
+	}
+	// Sort the (at most four) spans by start and merge overlapping or
+	// adjacent ones, so no word is copied twice: in a full window the
+	// appended and evicted slots coincide.
+	for i := 1; i < k; i++ {
+		for j := i; j > 0 && spans[j].lo < spans[j-1].lo; j-- {
+			spans[j], spans[j-1] = spans[j-1], spans[j]
+		}
+	}
+	merged := 0
+	for i := 0; i < k; i++ {
+		if merged > 0 && spans[i].lo <= spans[merged-1].hi {
+			if spans[i].hi > spans[merged-1].hi {
+				spans[merged-1].hi = spans[i].hi
+			}
+			continue
+		}
+		spans[merged] = spans[i]
+		merged++
+	}
+	return merged, true
 }
 
 // Equal reports whether the two stores hold identical retained

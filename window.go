@@ -354,9 +354,9 @@ func (w *Window) EstimateShared() (*EstimateResult, error) {
 }
 
 // WindowView is an immutable snapshot of a Window at one instant: the
-// frozen measurement source (measure.Empirical.SnapshotView — sealed
-// mmap'd segments shared by reference, only the active-buffer delta
-// copied), the shared compiled plan, and the window's progress gauges.
+// frozen measurement source (measure.Empirical.SnapshotView — RAM columns
+// copied, sealed mmap'd segments shared by reference), the shared compiled
+// plan, and the window's progress gauges.
 // Views are what estimate-side read replicas consume: any number of
 // goroutines may each hold a view and run EstimateIn against it with their
 // own Workspace while the window keeps observing, and every view estimate
@@ -375,11 +375,17 @@ type WindowView struct {
 }
 
 // View freezes the window's current contents into an immutable WindowView.
-// The cost is independent of the window size for spill windows (segments
-// are shared by reference) and one column copy for RAM windows; passing a
-// previously closed view as recycle reuses its storage, so a steady-state
-// publisher allocates nothing. View must be called by the goroutine that
-// owns the window's observations, and panics on a closed window.
+// Passing a previously closed view as recycle reuses its storage, so a
+// steady-state publisher allocates nothing, and makes the cost O(rows
+// changed): when recycle is an earlier view of this window (of any
+// generation), only the column words covering the snapshots observed and
+// evicted since it was taken are copied. A fresh view, or one recycled
+// from another window, costs one full column copy for a RAM window; a
+// spill window's cost is independent of its size either way (sealed
+// segments are shared by reference, only active-buffer rows are copied).
+// WindowView.CopyCost reports which path a view took. View must be called
+// by the goroutine that owns the window's observations, and panics on a
+// closed window.
 func (w *Window) View(recycle *WindowView) *WindowView {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -426,6 +432,12 @@ func (v *WindowView) Len() int { return v.len }
 // ChangePoints returns how many change-point alerts the window's detector
 // had fired at snapshot time.
 func (v *WindowView) ChangePoints() int { return v.changePoints }
+
+// CopyCost reports what building the view copied: column words summed
+// over every path (for a spill window, of the active buffer only), and
+// whether that was a full copy rather than the delta since the recycled
+// view.
+func (v *WindowView) CopyCost() (words int, full bool) { return v.src.CopyCost() }
 
 // Close releases the view's storage — for spill windows, the references
 // that keep shared segment mappings alive. Idempotent; a closed view may be
