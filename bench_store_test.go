@@ -71,9 +71,11 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 	scratch := make([]uint64, ram.Words())
 	sets := [][]int{{0, 1, 2}, {5, 40, 90, 100}, {7}, {30, 31, 32, 33, 34}}
 
+	var ws snapstore.CountWorkspace
+
 	// Warm + verify: identical counts from both tiers before any timing.
-	ram.CountPairsGood(pairs, outRAM)
-	tiered.CountPairsGood(pairs, outMapped, 0)
+	ram.CountPairsGoodWS(&ws, pairs, outRAM)
+	tiered.CountPairsGood(pairs, outMapped)
 	for k := range pairs {
 		if outRAM[k] != outMapped[k] {
 			b.Fatalf("pair %v: RAM %d, mapped %d", pairs[k], outRAM[k], outMapped[k])
@@ -95,13 +97,13 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 	}
 	b.Run("pairs-ram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ram.CountPairsGood(pairs, outRAM)
+			ram.CountPairsGoodWS(&ws, pairs, outRAM)
 		}
 		metrics["pairs-ram-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("pairs-mapped-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tiered.CountPairsGood(pairs, outMapped, 0)
+			tiered.CountPairsGood(pairs, outMapped)
 		}
 		metrics["pairs-mapped-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
@@ -129,7 +131,7 @@ func BenchmarkSegmentStoreCounts(b *testing.B) {
 			b.StopTimer()
 			tiered.ReleaseMapped()
 			b.StartTimer()
-			tiered.CountPairsGood(pairs, outMapped, 0)
+			tiered.CountPairsGood(pairs, outMapped)
 		}
 		metrics["pairs-mapped-cold-ns/op"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})

@@ -36,13 +36,13 @@ type columnBackend interface {
 	// given series was congested; any scratch it needs is its own.
 	CountAllGood(series []int) int
 	CountPairGood(i, j int) int
-	CountPairsGood(pairs []Pair, out []int, workers int)
+	CountPairsGood(pairs []Pair, out []int)
 	Close()
 }
 
 // ringColumns adapts snapstore.Store to the backend seam, owning the
-// OR-reduction scratch and the parallel count workspace the store's
-// kernels take as arguments.
+// OR-reduction scratch and the count workspace the store's kernels take as
+// arguments.
 type ringColumns struct {
 	store   *snapstore.Store
 	scratch []uint64
@@ -79,10 +79,9 @@ func (rc *ringColumns) CountPairGood(i, j int) int {
 	return rc.store.Snapshots() - bitset.OrPopCountWords(rc.store.Column(i), rc.store.Column(j))
 }
 
-func (rc *ringColumns) CountPairsGood(pairs []Pair, out []int, workers int) {
-	rc.store.CountPairsGoodWS(&rc.ws, pairs, out, workers)
+func (rc *ringColumns) CountPairsGood(pairs []Pair, out []int) {
+	rc.store.CountPairsGoodWS(&rc.ws, pairs, out)
 }
 
-// Close parks the workspace's pool goroutines; the backend remains usable
-// (the pool respawns on the next parallel count).
-func (rc *ringColumns) Close() { rc.ws.Close() }
+// Close is a no-op: a RAM backend holds nothing but memory.
+func (rc *ringColumns) Close() {}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/snapstore"
+	"repro/internal/segstore"
 	"repro/internal/topology"
 )
 
@@ -45,13 +45,26 @@ func queryAll(t *testing.T, e *Empirical, paths int, sets []*bitset.Set) []uint6
 	return out
 }
 
-// TestAppendBatchMatchesAppendLoop pins AppendBatch bit-identical to a
+// packRows lays rows out as AppendBatchWords expects them: one
+// ceil(paths/64)-word row per snapshot, back to back.
+func packRows(rows []*bitset.Set, paths int) (words []uint64, wordsPerRow int) {
+	wordsPerRow = (paths + 63) / 64
+	words = make([]uint64, len(rows)*wordsPerRow)
+	for r, row := range rows {
+		copy(words[r*wordsPerRow:(r+1)*wordsPerRow], row.Words())
+	}
+	return words, wordsPerRow
+}
+
+// TestAppendBatchMatchesAppendLoop pins AppendBatchWords bit-identical to a
 // per-row Append loop across batch shapes that exercise every eviction
 // path: batches into an unfilled window, batches that exactly fill it,
 // batches forcing partial and full displacement, batches larger than the
 // window, and unbounded streaming estimators — with the pattern histogram
 // live the whole time (materialized before the batches) so the incremental
-// forget/record bookkeeping is pinned too.
+// forget/record bookkeeping is pinned too. Every bounded window runs on the
+// RAM ring and on a spill store with 64-row segments, where batches cross
+// seals.
 func TestAppendBatchMatchesAppendLoop(t *testing.T) {
 	const paths = 9
 	rng := rand.New(rand.NewSource(31))
@@ -61,81 +74,57 @@ func TestAppendBatchMatchesAppendLoop(t *testing.T) {
 		bitset.FromIndices(1, 2, 6, 8),
 	}
 	for _, window := range []int{0, 1, 64, 100, 257} { // 0 = unbounded
-		build := func() *Empirical {
-			if window == 0 {
-				return NewStreaming(paths)
+		for _, spill := range []bool{false, true} {
+			if spill && window == 0 {
+				continue // spill stores are always windowed
 			}
-			e, err := NewSlidingWindow(paths, window)
-			if err != nil {
-				t.Fatal(err)
+			build := func() *Empirical {
+				if window == 0 {
+					return NewStreaming(paths)
+				}
+				var e *Empirical
+				var err error
+				if spill {
+					e, err = NewSlidingWindowSpill(paths, window, segstore.Options{Dir: t.TempDir(), SegmentRows: 64})
+				} else {
+					e, err = NewSlidingWindow(paths, window)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(e.Close)
+				return e
 			}
-			return e
-		}
-		batched, looped := build(), build()
-		seed := randomBatchRows(rng, paths, 3)
-		batched.AppendBatch(seed[:1])
-		for _, r := range seed[:1] {
-			looped.Append(r)
-		}
-		// Materialize the histograms so every later batch maintains them.
-		batched.ProbExactCongestedPaths(sets[1])
-		looped.ProbExactCongestedPaths(sets[1])
-		batchSizes := []int{1, 3, window / 2, window - 1, window, window + 7, 2*window + 3}
-		for _, m := range batchSizes {
-			if m < 1 {
-				continue
-			}
-			rows := randomBatchRows(rng, paths, m)
-			batched.AppendBatch(rows)
-			for _, r := range rows {
+			batched, looped := build(), build()
+			seed := randomBatchRows(rng, paths, 3)
+			words, wpr := packRows(seed[:1], paths)
+			batched.AppendBatchWords(words, wpr, 1)
+			for _, r := range seed[:1] {
 				looped.Append(r)
 			}
-			got := queryAll(t, batched, paths, sets)
-			want := queryAll(t, looped, paths, sets)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("window=%d batch=%d observable %d: batched %#x != looped %#x", window, m, k, got[k], want[k])
+			// Materialize the histograms so every later batch maintains them.
+			batched.ProbExactCongestedPaths(sets[1])
+			looped.ProbExactCongestedPaths(sets[1])
+			batchSizes := []int{1, 3, window / 2, window - 1, window, window + 7, 2*window + 3}
+			for _, m := range batchSizes {
+				if m < 1 {
+					continue
+				}
+				rows := randomBatchRows(rng, paths, m)
+				words, wpr := packRows(rows, paths)
+				batched.AppendBatchWords(words, wpr, m)
+				for _, r := range rows {
+					looped.Append(r)
+				}
+				got := queryAll(t, batched, paths, sets)
+				want := queryAll(t, looped, paths, sets)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("window=%d spill=%v batch=%d observable %d: batched %#x != looped %#x", window, spill, m, k, got[k], want[k])
+					}
 				}
 			}
 		}
-	}
-}
-
-// TestPrimePairsParallelMatchesSerial pins PrimePairs bit-identical across
-// count-worker settings {1, 2, 7, 8}: the cached pair probabilities after a
-// parallel prime must equal a serial estimator's, bit for bit.
-func TestPrimePairsParallelMatchesSerial(t *testing.T) {
-	const paths, snapshots = 19, 3000
-	rng := rand.New(rand.NewSource(37))
-	rows := randomBatchRows(rng, paths, snapshots)
-	var pairs []snapstore.Pair
-	for q := 0; q < 200; q++ {
-		pairs = append(pairs, snapstore.Pair{A: rng.Intn(paths), B: rng.Intn(paths)})
-	}
-	build := func(workers int) *Empirical {
-		e := NewStreaming(paths)
-		e.SetCountWorkers(workers)
-		e.AppendBatch(rows)
-		return e
-	}
-	serial := build(1)
-	defer serial.Close()
-	serial.PrimePairs(pairs)
-	for _, workers := range []int{2, 7, 8} {
-		par := build(workers)
-		par.PrimePairs(pairs)
-		for _, p := range pairs {
-			got := par.ProbPairGood(topology.PathID(p.A), topology.PathID(p.B))
-			want := serial.ProbPairGood(topology.PathID(p.A), topology.PathID(p.B))
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d pair %v: parallel %v != serial %v", workers, p, got, want)
-			}
-		}
-		if got := par.CountWorkers(); got != workers {
-			t.Fatalf("CountWorkers = %d, want %d", got, workers)
-		}
-		par.Close()
-		par.Close() // idempotent
 	}
 }
 
@@ -146,7 +135,9 @@ func TestProbPathsGoodMemoHitAllocs(t *testing.T) {
 	const paths = 12
 	rng := rand.New(rand.NewSource(41))
 	e := NewStreaming(paths)
-	e.AppendBatch(randomBatchRows(rng, paths, 500))
+	rows := randomBatchRows(rng, paths, 500)
+	words, wpr := packRows(rows, paths)
+	e.AppendBatchWords(words, wpr, len(rows))
 	set := bitset.FromIndices(1, 4, 7, 9)
 	e.ProbPathsGood(set) // warm the memo
 	if allocs := testing.AllocsPerRun(20, func() { e.ProbPathsGood(set) }); allocs != 0 {

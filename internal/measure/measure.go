@@ -132,11 +132,6 @@ type Empirical struct {
 	pairCounts []int
 	// idxBuf is the reusable index buffer of ProbPathsGood's general case.
 	idxBuf []int
-	// countWorkers is handed to the backend's batched pair-count kernel:
-	// the RAM backend fans snapstore.CountPairsGoodWS across that many
-	// workers (block-summary skips always; bit-identical for every
-	// setting), the tiered backend counts serially and ignores it.
-	countWorkers int
 }
 
 // NewEmpirical wraps a simulation record. It returns an error for a nil or
@@ -256,64 +251,20 @@ func (e *Empirical) Append(congested *bitset.Set) {
 	e.resetCaches()
 }
 
-// AppendBatch ingests a batch of snapshots in one mutation, bit-identical
-// to calling Append on each row in order but paying the bookkeeping once:
-// the evictions a full window's batch forces are applied as one batched
-// snapstore.DropOldest (each affected column word written once instead of
-// once per evicted snapshot) and the probability caches are reset once for
-// the whole batch instead of once per row. Like Append, it panics on a
-// record-backed estimator and must not run concurrently with queries.
-func (e *Empirical) AppendBatch(rows []*bitset.Set) {
-	if e.view {
-		panic("measure: AppendBatch on an immutable snapshot view (SnapshotView)")
-	}
-	if !e.streaming {
-		panic("measure: Append requires a streaming estimator (NewStreaming); record-backed estimators are read-only views")
-	}
-	if len(rows) == 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.cols.Capacity()
-	if d := e.cols.Snapshots() + len(rows) - c; c > 0 && d > 0 && d <= e.cols.Snapshots() {
-		// The batch displaces exactly the d oldest retained snapshots:
-		// forget their histogram entries row by row, then clear their slots
-		// in one blocked pass. (A batch larger than the whole window — d
-		// exceeding the retained count — falls through to the per-row loop,
-		// where AppendEvict handles the mid-batch evictions.)
-		if e.patterns != nil {
-			for t := 0; t < d; t++ {
-				e.cols.RowInto(t, e.evictScratch)
-				e.forgetPattern(e.evictScratch)
-			}
-		}
-		e.cols.DropOldest(d)
-	}
-	ev := e.evictScratch
-	if e.patterns == nil {
-		ev = nil
-	}
-	for _, row := range rows {
-		if e.cols.AppendEvict(row, ev) && ev != nil {
-			e.forgetPattern(ev)
-		}
-		e.recordPattern(row)
-	}
-	e.resetCaches()
-}
-
-// AppendBatchWords is AppendBatch with the batch presented as packed
+// AppendBatchWords ingests a batch of snapshots presented as packed
 // word-rows: rows snapshots, each wordsPerRow uint64 words (bit i of word
 // w ⇒ path w*64+i congested), laid out back to back in words — the layout
 // the binary probe wire format carries and the column stores append
-// directly, so wire ingest materializes no per-snapshot bitset.
-// Bit-identical to AppendBatch over equal rows: same batched-eviction
-// pre-pass, same histogram maintenance (a word row keys identically to its
-// set — AppendKeyWords trims the stride padding), one cache reset. Panics
-// like AppendBatch on views and record-backed estimators, and on a
-// stride/row-count mismatch. The words may be reused by the caller after
-// the call returns.
+// directly, so ingest materializes no per-snapshot bitset. It is
+// bit-identical to calling Append on each row in order (a word row keys the
+// pattern histogram identically to its set — AppendKeyWords trims the
+// stride padding) but pays the bookkeeping once: the evictions a full
+// window's batch forces are applied as one batched DropOldest (each
+// affected column word written once instead of once per evicted snapshot)
+// and the probability caches are reset once for the whole batch. Like
+// Append, it panics on views and record-backed estimators and must not run
+// concurrently with queries; it also panics on a stride/row-count
+// mismatch. The words may be reused by the caller after the call returns.
 func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	if e.view {
 		panic("measure: AppendBatchWords on an immutable snapshot view (SnapshotView)")
@@ -334,7 +285,11 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	defer e.mu.Unlock()
 	c := e.cols.Capacity()
 	if d := e.cols.Snapshots() + rows - c; c > 0 && d > 0 && d <= e.cols.Snapshots() {
-		// Same batched displacement pre-pass as AppendBatch.
+		// The batch displaces exactly the d oldest retained snapshots:
+		// forget their histogram entries row by row, then clear their slots
+		// in one blocked pass. (A batch larger than the whole window — d
+		// exceeding the retained count — falls through to the per-row loop,
+		// where AppendEvictWords handles the mid-batch evictions.)
 		if e.patterns != nil {
 			for t := 0; t < d; t++ {
 				e.cols.RowInto(t, e.evictScratch)
@@ -357,29 +312,9 @@ func (e *Empirical) AppendBatchWords(words []uint64, wordsPerRow, rows int) {
 	e.resetCaches()
 }
 
-// SetCountWorkers sets how many workers the batched pair-count kernel
-// (PrimePairs) fans out across snapstore blocks. n ≤ 1 — and the default —
-// runs on the calling goroutine; results are bit-identical for every
-// setting (see snapstore.CountPairsCongestedWS). An estimator that has run
-// with n > 1 holds parked pool goroutines until Close.
-func (e *Empirical) SetCountWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.countWorkers = n
-}
-
-// CountWorkers returns the configured count-kernel worker count (0 or 1
-// mean serial).
-func (e *Empirical) CountWorkers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.countWorkers
-}
-
-// Close releases the backend's resources: the pool goroutines of a RAM
-// estimator's parallel count workspace (the estimator remains fully usable
-// afterwards — the pool respawns on demand), or the segment mappings of a
-// spill-backed estimator (which must not be used after Close). Idempotent.
+// Close releases the segment mappings of a spill-backed estimator, which
+// must not be used afterwards; on a RAM estimator, which holds nothing to
+// release, it is a no-op. Idempotent.
 func (e *Empirical) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -440,7 +375,7 @@ func (e *Empirical) IsView() bool { return e.view }
 //
 // recycle, when non-nil, must be a view from a previous SnapshotView on a
 // same-shaped estimator; it is closed and its storage reused. The returned
-// view rejects all mutation (Append/AppendBatch/Evict panic), answers
+// view rejects all mutation (Append/AppendBatchWords/Evict panic), answers
 // queries from any goroutine like its source, and must be Closed when the
 // last reader is done with it — for spill-backed sources that is what
 // releases the shared segment mappings. SnapshotView must be called by the
@@ -477,7 +412,6 @@ func (e *Empirical) SnapshotView(recycle *Empirical) *Empirical {
 	default:
 		panic("measure: SnapshotView requires a ring- or spill-backed estimator")
 	}
-	v.countWorkers = e.countWorkers
 	if len(v.single) != e.cols.NumSeries() {
 		v.single = nil
 	}
@@ -755,12 +689,11 @@ func (e *Empirical) materializePatterns(n int) {
 
 // PrimePairs implements BatchPairSource: it resolves every listed pair that
 // is not already cached with one cache-blocked pass over the path columns
-// (snapstore.CountPairsGoodWS — block-summary skips always, fanned out
-// across SetCountWorkers workers when configured) and installs the results
-// in the pair cache, so
-// the ProbPairGood calls that follow are map hits. Values are bit-identical
-// to per-pair lookups; a steady-state caller (same pair set each estimate)
-// allocates nothing beyond the cache's own warm-up.
+// (snapstore.CountPairsGoodWS, which skips untouched column blocks) and
+// installs the results in the pair cache, so the ProbPairGood calls that
+// follow are map hits. Values are bit-identical to per-pair lookups; a
+// steady-state caller (same pair set each estimate) allocates nothing
+// beyond the cache's own warm-up.
 func (e *Empirical) PrimePairs(pairs []Pair) {
 	n := e.cols.Snapshots()
 	if n == 0 || len(pairs) == 0 {
@@ -790,7 +723,7 @@ func (e *Empirical) PrimePairs(pairs []Pair) {
 		e.pairCounts = make([]int, len(e.pairBuf))
 	}
 	e.pairCounts = e.pairCounts[:len(e.pairBuf)]
-	e.cols.CountPairsGood(e.pairBuf, e.pairCounts, e.countWorkers)
+	e.cols.CountPairsGood(e.pairBuf, e.pairCounts)
 	if len(e.pairs) >= maxPairEntries {
 		e.pairs = make(map[int64]float64)
 	}

@@ -95,8 +95,9 @@ func TestSpillWindowMatchesRAM(t *testing.T) {
 				}
 				batch = append(batch, r)
 			}
-			ram.AppendBatch(batch)
-			spill.AppendBatch(batch)
+			words, wpr := packRows(batch, paths)
+			ram.AppendBatchWords(words, wpr, len(batch))
+			spill.AppendBatchWords(words, wpr, len(batch))
 		case step%67 == 66:
 			if ram.Evict() != spill.Evict() {
 				t.Fatalf("step %d: Evict disagreed", step)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/bitset"
 	"repro/internal/dynamics"
@@ -45,8 +44,8 @@ type DynamicConfig struct {
 	// order regardless of Workers.
 	OnSnapshot func(t int, congestedPaths *bitset.Set)
 	// Workers caps the per-path observation fan-out (0 ⇒ GOMAXPROCS, capped
-	// by any worker budget the context carries; 1 ⇒ the fully sequential
-	// loop). The process advance and the store emission stay sequential for
+	// by any worker budget the context carries; 1 ⇒ one worker). The
+	// process advance and the store emission stay sequential for
 	// determinism, so records and OnSnapshot sequences are bit-identical for
 	// every setting.
 	Workers int
@@ -86,6 +85,11 @@ func RunDynamicStream(ctx context.Context, cfg DynamicConfig) error {
 	return err
 }
 
+// dynChunkSnapshots is the pipeline chunk of RunDynamic: big enough to
+// amortize the per-chunk fan-out, small enough that the buffered link/path
+// states stay cache-resident and OnSnapshot latency stays bounded.
+const dynChunkSnapshots = 512
+
 func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
@@ -122,53 +126,14 @@ func runDynamic(ctx context.Context, cfg DynamicConfig, record bool) (*Record, e
 			rec.Links = snapstore.New(cfg.Topology.NumLinks())
 		}
 	}
+
+	// Advance the process sequentially into a chunk of buffered link
+	// states, observe the chunk's paths on a cfg.Workers pool (each
+	// snapshot's measurement noise comes from its own derived stream, so
+	// tasks are independent), then emit the chunk in snapshot order.
+	// Emission order, store contents and the OnSnapshot sequence therefore
+	// never depend on the pool size.
 	run := cfg.Process.Start(cfg.Seed)
-	linkState := bitset.New(cfg.Topology.NumLinks())
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 {
-		return runDynamicChunked(ctx, cfg, rec, run, linkState, tl, packets)
-	}
-	pathState := bitset.New(cfg.Topology.NumPaths())
-	for t := 0; t < cfg.Snapshots; t++ {
-		if t%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		run.Next(linkState)
-		// Measurement noise draws from a per-snapshot stream so packet-level
-		// noise stays independent of the process realization.
-		rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, t)))
-		observePaths(cfg.Topology, linkState, rng, cfg.Mode, tl, packets, pathState)
-		if rec != nil {
-			rec.Paths.Append(pathState)
-			if rec.Links != nil {
-				rec.Links.Append(linkState)
-			}
-		}
-		if cfg.OnSnapshot != nil {
-			cfg.OnSnapshot(t, pathState)
-		}
-	}
-	return rec, nil
-}
-
-// dynChunkSnapshots is the pipeline chunk of the parallel RunDynamic path:
-// big enough to amortize the per-chunk fan-out, small enough that the
-// buffered link/path states stay cache-resident and OnSnapshot latency stays
-// bounded.
-const dynChunkSnapshots = 512
-
-// runDynamicChunked is the parallel body of RunDynamic: advance the process
-// sequentially into a chunk of buffered link states, observe the chunk's
-// paths in parallel (each snapshot's measurement noise comes from its own
-// derived stream, so tasks are independent), then emit the chunk in
-// snapshot order. Emission order, store contents and OnSnapshot sequence
-// are exactly the sequential loop's.
-func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *Record, run dynamics.Run, linkState *bitset.Set, tl float64, packets int) (*Record, error) {
 	chunk := dynChunkSnapshots
 	if chunk > cfg.Snapshots {
 		chunk = cfg.Snapshots
@@ -189,8 +154,7 @@ func runDynamicChunked(ctx context.Context, cfg DynamicConfig, rec *Record, run 
 			m = cfg.Snapshots - base
 		}
 		for i := 0; i < m; i++ {
-			run.Next(linkState)
-			linkStates[i].CopyFrom(linkState)
+			run.Next(linkStates[i])
 		}
 		err := r.Run(ctx, m, func(_ context.Context, i int) error {
 			rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, base+i)))

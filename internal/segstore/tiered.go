@@ -458,15 +458,13 @@ func (ts *TieredStore) CountPairGood(i, j int) int {
 
 // CountPairsGood fills out[i] with the number of window snapshots in which
 // neither series of pairs[i] was congested. The sweep is segment-major so
-// each mapped segment's pages are touched once for the whole batch. The
-// workers argument exists for call-signature parity with the RAM store's
-// parallel kernel; the mapped sweep is serial (the per-segment directory
-// skip does the work multicore does for dense RAM columns).
-func (ts *TieredStore) CountPairsGood(pairs []snapstore.Pair, out []int, workers int) {
+// each mapped segment's pages are touched once for the whole batch, and
+// each segment's column directory (word span and popcount) serves untouched
+// or disjoint columns without touching a page.
+func (ts *TieredStore) CountPairsGood(pairs []snapstore.Pair, out []int) {
 	if len(out) < len(pairs) {
 		panic(fmt.Sprintf("segstore: CountPairsGood out has %d slots for %d pairs", len(out), len(pairs)))
 	}
-	_ = workers
 	for i, p := range pairs {
 		ts.checkSeries(p.A)
 		ts.checkSeries(p.B)

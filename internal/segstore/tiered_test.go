@@ -55,6 +55,7 @@ func TestTieredMatchesRing(t *testing.T) {
 	pairs := testPairs(series)
 	outT, outR := make([]int, len(pairs)), make([]int, len(pairs))
 	scratch := make([]uint64, ring.Words())
+	var ringWS snapstore.CountWorkspace
 	all := make([]int, series)
 	for i := range all {
 		all[i] = i
@@ -71,8 +72,8 @@ func TestTieredMatchesRing(t *testing.T) {
 				t.Fatalf("step %d: series %d congested count %d, ring %d", step, i, g, w)
 			}
 		}
-		ts.CountPairsGood(pairs, outT, 1)
-		ring.CountPairsGood(pairs, outR)
+		ts.CountPairsGood(pairs, outT)
+		ring.CountPairsGoodWS(&ringWS, pairs, outR)
 		for i := range pairs {
 			if outT[i] != outR[i] {
 				t.Fatalf("step %d: pair %v good count %d, ring %d", step, pairs[i], outT[i], outR[i])

@@ -218,11 +218,10 @@ func (v *TieredView) CountPairGood(i, j int) int {
 // CountPairsGood fills out[i] with the number of window snapshots in which
 // neither series of pairs[i] was congested — the same segment-major sweep
 // as TieredStore.CountPairsGood, over the frozen window.
-func (v *TieredView) CountPairsGood(pairs []snapstore.Pair, out []int, workers int) {
+func (v *TieredView) CountPairsGood(pairs []snapstore.Pair, out []int) {
 	if len(out) < len(pairs) {
 		panic(fmt.Sprintf("segstore: CountPairsGood out has %d slots for %d pairs", len(out), len(pairs)))
 	}
-	_ = workers
 	for i, p := range pairs {
 		v.checkSeries(p.A)
 		v.checkSeries(p.B)

@@ -59,7 +59,7 @@ func TestViewMatchesStore(t *testing.T) {
 			t.Fatalf("view all-good %d, frozen %d", g, f.allGood)
 		}
 		out := make([]int, len(pairs))
-		v.CountPairsGood(pairs, out, 1)
+		v.CountPairsGood(pairs, out)
 		for i := range pairs {
 			if out[i] != f.pairsGood[i] {
 				t.Fatalf("pair %v: view good count %d, frozen %d", pairs[i], out[i], f.pairsGood[i])
@@ -91,7 +91,7 @@ func TestViewMatchesStore(t *testing.T) {
 			f.congested[i] = ts.CongestedCount(i)
 		}
 		f.allGood = ts.CountAllGood(all)
-		ts.CountPairsGood(pairs, f.pairsGood, 1)
+		ts.CountPairsGood(pairs, f.pairsGood)
 		for u := 0; u < ts.Snapshots(); u++ {
 			r := bitset.New(series)
 			ts.RowInto(u, r)
@@ -193,7 +193,7 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 					errs <- "all-good count drifted under ReleaseMapped"
 					return
 				}
-				v.CountPairsGood(pairs, out, 1)
+				v.CountPairsGood(pairs, out)
 				for i := range pairs {
 					if out[i] != pairsGood[i] {
 						errs <- "pair count drifted under ReleaseMapped"
@@ -217,7 +217,7 @@ func TestReleaseMappedConcurrentWithViews(t *testing.T) {
 		}
 		allGood := ts.CountAllGood(all)
 		pairsGood := make([]int, len(pairs))
-		ts.CountPairsGood(pairs, pairsGood, 1)
+		ts.CountPairsGood(pairs, pairsGood)
 		spawnReader(ts.SnapshotView(nil), congested, allGood, pairsGood)
 		launched++
 		ts.ReleaseMapped() // races the reader's count sweeps — the bugfix under test

@@ -89,10 +89,10 @@ func (t *Tenant) syncStats() {
 
 // newTenant validates a TenantConfig and builds the tenant (plan compiled,
 // window empty). The shard index is assigned by the daemon, which also
-// passes its configured count-kernel worker fan-out and spill directory
-// down to the window; a non-empty spillDir gives the tenant an out-of-core
-// window whose segments live under its own escaped-name subdirectory.
-func newTenant(cfg TenantConfig, countWorkers int, spillDir string, spillSegRows int) (*Tenant, error) {
+// passes its configured spill directory down to the window; a non-empty
+// spillDir gives the tenant an out-of-core window whose segments live under
+// its own escaped-name subdirectory.
+func newTenant(cfg TenantConfig, spillDir string, spillSegRows int) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: register: tenant name is empty")
 	}
@@ -123,9 +123,8 @@ func newTenant(cfg TenantConfig, countWorkers int, spillDir string, spillSegRows
 		estimator = "correlation"
 	}
 	wcfg := tomography.WindowConfig{
-		Size:         cfg.Window,
-		Estimator:    estimator,
-		CountWorkers: countWorkers,
+		Size:      cfg.Window,
+		Estimator: estimator,
 	}
 	if spillDir != "" {
 		// url.PathEscape keeps arbitrary tenant names from escaping the

@@ -171,3 +171,58 @@ func TestRingPanics(t *testing.T) {
 		NewRing(2, 8).AppendEvict(bitset.FromIndices(5), nil)
 	})
 }
+
+// TestDropOldestMatchesEvictLoop pins the batched ring eviction against a
+// per-snapshot EvictOldest loop on a shadow store, across drop sizes that
+// hit every mask shape: within one word, word-aligned, spanning words, and
+// wrapping the ring boundary.
+func TestDropOldestMatchesEvictLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, capacity := range []int{1, 63, 64, 65, 200, 700} {
+		a := NewRing(5, capacity)
+		b := NewRing(5, capacity)
+		row := bitset.New(5)
+		appendRandom := func(n int) {
+			for i := 0; i < n; i++ {
+				row.Clear()
+				for j := 0; j < 5; j++ {
+					if rng.Intn(3) == 0 {
+						row.Add(j)
+					}
+				}
+				a.Append(row)
+				b.Append(row)
+			}
+		}
+		// Rotate the window first so slot(0) is mid-ring, then exercise a
+		// range of drop sizes including overshoot (k > retained).
+		appendRandom(capacity + capacity/3 + 1)
+		for _, k := range []int{0, 1, 7, 63, 64, 65, capacity / 2, capacity, capacity + 9} {
+			appendRandom(rng.Intn(capacity/2 + 1))
+			wantDropped := 0
+			for i := 0; i < k && b.Snapshots() > 0; i++ {
+				b.EvictOldest(nil)
+				wantDropped++
+			}
+			if got := a.DropOldest(k); got != wantDropped {
+				t.Fatalf("cap=%d k=%d: DropOldest returned %d, evict loop dropped %d", capacity, k, got, wantDropped)
+			}
+			if !a.Equal(b) {
+				t.Fatalf("cap=%d k=%d: stores diverged after batched drop", capacity, k)
+			}
+			if a.Snapshots() != b.Snapshots() {
+				t.Fatalf("cap=%d k=%d: retained %d vs %d", capacity, k, a.Snapshots(), b.Snapshots())
+			}
+		}
+	}
+}
+
+// TestDropOldestUnboundedPanics pins the misuse panic.
+func TestDropOldestUnboundedPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DropOldest on an unbounded store did not panic")
+		}
+	}()
+	New(3).DropOldest(1)
+}

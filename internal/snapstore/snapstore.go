@@ -449,60 +449,6 @@ func (s *Store) CountAllGood(series []int, scratch []uint64) int {
 	return s.Snapshots() - s.CountAnyCongested(series, scratch)
 }
 
-// Pair identifies one unordered pair of series for the batched count
-// kernels.
-type Pair struct {
-	A, B int
-}
-
-// pairBlockWords is the cache-block size of CountPairsCongested: the blocked
-// sweep touches at most series·pairBlockWords·8 bytes of column data per
-// block, so with a few hundred series the working set of one block stays
-// inside L2 and every column word is streamed from memory once per call
-// instead of once per pair that uses it.
-const pairBlockWords = 512
-
-// CountPairsCongested fills out[i] with the number of snapshots in which at
-// least one series of pairs[i] was congested — the batched, cache-blocked
-// form of per-pair CountAnyCongested. One blocked pass over the columns
-// serves every pair: within a block each column's words are hot in cache no
-// matter how many pairs share them, and the OR+popcount is fused into a
-// single sweep (the per-pair path pays copy, OR and popcount passes).
-// len(out) must be at least len(pairs); it panics on an out-of-range series
-// like the other accessors.
-func (s *Store) CountPairsCongested(pairs []Pair, out []int) {
-	if len(out) < len(pairs) {
-		panic(fmt.Sprintf("snapstore: CountPairsCongested out has %d slots for %d pairs", len(out), len(pairs)))
-	}
-	for i, p := range pairs {
-		if p.A < 0 || p.A >= len(s.cols) || p.B < 0 || p.B >= len(s.cols) {
-			panic(fmt.Sprintf("snapstore: pair (%d,%d) out of range (%d series)", p.A, p.B, len(s.cols)))
-		}
-		out[i] = 0
-	}
-	words := s.Words()
-	for lo := 0; lo < words; lo += pairBlockWords {
-		hi := lo + pairBlockWords
-		if hi > words {
-			hi = words
-		}
-		for i, p := range pairs {
-			out[i] += bitset.OrPopCountWords(s.cols[p.A][lo:hi], s.cols[p.B][lo:hi])
-		}
-	}
-}
-
-// CountPairsGood fills out[i] with the number of snapshots in which neither
-// series of pairs[i] was congested, via the blocked CountPairsCongested
-// sweep.
-func (s *Store) CountPairsGood(pairs []Pair, out []int) {
-	s.CountPairsCongested(pairs, out)
-	n := s.Snapshots()
-	for i := range pairs {
-		out[i] = n - out[i]
-	}
-}
-
 // RowInto materializes snapshot t as a set of congested series into dst
 // (cleared first). For a ring store t is window-relative: t = 0 is the
 // oldest retained snapshot.

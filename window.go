@@ -131,16 +131,10 @@ type WindowConfig struct {
 	// Detector overrides the change-point detector (nil ⇒ defaults). The
 	// detector observes the per-snapshot fraction of congested paths.
 	Detector *ChangeDetector
-	// CountWorkers fans the window's batched pair-count kernel out across
-	// that many workers during estimates (0 or 1 ⇒ serial). Estimates are
-	// bit-identical for every setting. A window that has estimated with
-	// CountWorkers > 1 holds parked pool goroutines until Close.
-	CountWorkers int
 	// Spill, when non-nil, backs the window with the out-of-core segment
 	// store: sealed column segments land under Spill.Dir and counts run on
 	// the mapped files. Estimates stay bit-identical to the RAM-only window;
-	// RSS stays bounded by the segment size instead of Size. CountWorkers is
-	// ignored for spill windows (the directory-skip kernels run serially).
+	// RSS stays bounded by the segment size instead of Size.
 	Spill *SpillConfig
 }
 
@@ -174,9 +168,8 @@ type Window struct {
 	ws *Workspace
 
 	// mu serializes the lifecycle against in-flight operations: Close takes
-	// it, so closing during an estimate drains rather than pulling the
-	// count-worker pool (or, for spill windows, the segment mappings) out
-	// from under the estimator mid-count.
+	// it, so closing a spill window during an estimate drains rather than
+	// pulling the segment mappings out from under the estimator mid-count.
 	mu     sync.Mutex
 	closed bool
 }
@@ -216,7 +209,6 @@ func NewWindow(top *Topology, cfg WindowConfig) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	src.SetCountWorkers(cfg.CountWorkers)
 	det := cfg.Detector
 	if det == nil {
 		det, err = NewChangeDetector(0, 0, 0)
@@ -251,38 +243,18 @@ func (w *Window) Observe(congested *PathSet) bool {
 	return w.detector.Observe(float64(congested.Len()) / float64(w.numPaths))
 }
 
-// ObserveBatch feeds a batch of snapshots in observation order, equivalent
-// to calling Observe on each row but with the window maintenance batched:
-// the evictions the batch forces are applied in one blocked pass over the
-// columns and the probability caches are reset once. It returns how many of
-// the batch's snapshots the change-point detector flagged. Rows may be
-// reused by the caller after the call returns.
-func (w *Window) ObserveBatch(rows []*PathSet) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		panic("tomography: Window.ObserveBatch on a closed window")
-	}
-	w.src.AppendBatch(rows)
-	w.seen += len(rows)
-	flagged := 0
-	for _, row := range rows {
-		if w.detector.Observe(float64(row.Len()) / float64(w.numPaths)) {
-			flagged++
-		}
-	}
-	return flagged
-}
-
-// ObserveBatchWords is ObserveBatch with the batch presented as packed
-// word-rows: rows snapshots, each wordsPerRow uint64 words (bit i of word
-// w ⇒ path w*64+i congested), laid out back to back in words — the exact
-// layout the binary probe wire format carries and the window's columns
-// store, so wire ingest appends without materializing a PathSet per
-// snapshot. Results are bit-identical to ObserveBatch over equal rows:
-// same evictions, same detector observations (the congested fraction is a
-// popcount over each word row), same single cache reset. The words may be
-// reused by the caller after the call returns.
+// ObserveBatchWords feeds a batch of snapshots in observation order,
+// presented as packed word-rows: rows snapshots, each wordsPerRow uint64
+// words (bit i of word w ⇒ path w*64+i congested), laid out back to back in
+// words — the exact layout the binary probe wire format carries and the
+// window's columns store, so ingest appends without materializing a
+// PathSet per snapshot. Results are bit-identical to calling Observe on
+// each row (the detector sees each row's congested fraction as a popcount
+// over its words), but the window maintenance is batched: the evictions the
+// batch forces are applied in one blocked pass over the columns and the
+// probability caches are reset once. It returns how many of the batch's
+// snapshots the change-point detector flagged. The words may be reused by
+// the caller after the call returns.
 func (w *Window) ObserveBatchWords(words []uint64, wordsPerRow, rows int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -301,9 +273,8 @@ func (w *Window) ObserveBatchWords(words []uint64, wordsPerRow, rows int) int {
 	return flagged
 }
 
-// Close releases the window's resources: the pool goroutines behind a
-// CountWorkers > 1 window, and — for spill windows — the window's reference
-// to its mapped segments. Close is idempotent, and safe against an
+// Close releases the window's resources — for spill windows, the window's
+// reference to its mapped segments. Close is idempotent, and safe against an
 // in-flight Estimate/EstimateShared/Observe from another goroutine: it
 // waits for the operation to finish rather than tearing resources out from
 // under it. After Close, estimates return an error and Observe panics;
