@@ -14,14 +14,6 @@ import (
 	"repro/internal/snapstore"
 )
 
-// pr4WindowedNsPerOp is the end-to-end BenchmarkWindowedInference
-// sliding-window time recorded in BENCH_dynamics.json by PR 4 on the CI
-// reference machine — the fixed baseline the workspace path is measured
-// against (the live "alloc-path" sub-benchmark re-measures the allocating
-// path on the current tree, which already benefits from the row-major
-// reduced-cost sweep).
-const pr4WindowedNsPerOp = 586178753.0
-
 // BenchmarkWindowedInferenceWorkspace replays the BenchmarkWindowedInference
 // workload (same topology, dynamics, window and stride) through both
 // estimate paths and records ns/op and allocs/op for each: the allocating
@@ -53,13 +45,12 @@ func BenchmarkWindowedInferenceWorkspace(b *testing.B) {
 		}
 	}
 	metrics := map[string]float64{
-		"snapshots":          snapshots,
-		"window":             window,
-		"stride":             stride,
-		"paths":              float64(top.NumPaths()),
-		"links":              float64(top.NumLinks()),
-		"checkpoints":        float64(checkpoints),
-		"pr4-baseline-ns/op": pr4WindowedNsPerOp,
+		"snapshots":   snapshots,
+		"window":      window,
+		"stride":      stride,
+		"paths":       float64(top.NumPaths()),
+		"links":       float64(top.NumLinks()),
+		"checkpoints": float64(checkpoints),
 	}
 
 	b.Run("alloc-path", func(b *testing.B) {
@@ -100,10 +91,9 @@ func BenchmarkWindowedInferenceWorkspace(b *testing.B) {
 	})
 	if a, w := metrics["alloc-path-ns/op"], metrics["workspace-ns/op"]; a > 0 && w > 0 {
 		metrics["speedup-vs-alloc-path"] = a / w
-		metrics["speedup-vs-pr4-baseline"] = pr4WindowedNsPerOp / w
-		b.Logf("windowed inference: alloc path %.1f ms (%.0f allocs), workspace %.1f ms (%.0f allocs) — %.2f× vs alloc path, %.2f× vs the PR 4 baseline",
+		b.Logf("windowed inference: alloc path %.1f ms (%.0f allocs), workspace %.1f ms (%.0f allocs) — %.2f× vs alloc path",
 			a/1e6, metrics["alloc-path-allocs/op"], w/1e6, metrics["workspace-allocs/op"],
-			metrics["speedup-vs-alloc-path"], metrics["speedup-vs-pr4-baseline"])
+			metrics["speedup-vs-alloc-path"])
 	}
 	writeBenchJSONFile(b, "BENCH_alloc.json", "BenchmarkWindowedInference", metrics)
 }

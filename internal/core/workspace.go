@@ -214,16 +214,23 @@ func detachResult(ws *Workspace, res *Result) *Result {
 	}
 }
 
-// solveSystemIn is solveSystem on workspace storage: the matrix is
-// materialized into reused memory, the completion strategies run through the
-// workspace's linalg/LP scratch, and the result buffers are recycled. opts
-// must already be filled.
+// solveSystemIn solves a built equation system with the configured
+// completion strategy on workspace storage: the matrix is materialized into
+// reused memory, the completion strategies run through the workspace's
+// linalg/LP scratch, and the result buffers are recycled. A non-finite
+// right-hand side or solution is an ErrNonFiniteEstimate, never a result.
+// opts must already be filled.
 func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, error) {
 	if len(sys.Equations) == 0 {
 		return nil, fmt.Errorf("core: no usable equations (all admissible observations had zero good-probability)")
 	}
 
 	a, y := ws.matrix(sys)
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: equation %d has right-hand side %v", ErrNonFiniteEstimate, i, v)
+		}
+	}
 	nl := sys.NumLinks
 	var x []float64
 	var err error
@@ -276,6 +283,9 @@ func solveSystemIn(ws *Workspace, sys *EquationSystem, opts Options) (*Result, e
 	res.Solver = kind
 	for k := 0; k < nl; k++ {
 		xv := x[k]
+		if math.IsNaN(xv) || math.IsInf(xv, 0) {
+			return nil, fmt.Errorf("%w: link %d solved to %v by the %s solver", ErrNonFiniteEstimate, k, xv, kind)
+		}
 		if xv > 0 {
 			xv = 0 // log-probabilities cannot be positive
 		}

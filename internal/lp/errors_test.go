@@ -7,39 +7,22 @@ import (
 	"repro/internal/linalg"
 )
 
-// TestSolverDimensionErrors pins the exact error strings of every lp entry
+// TestSolverDimensionErrors pins the exact error strings of the lp entry
 // point on malformed inputs — mismatched dimensions and nil matrices must
 // surface as errors, never panics (the estimator-registry error-contract
 // style).
 func TestSolverDimensionErrors(t *testing.T) {
 	a23 := linalg.NewMatrix(2, 3)
+	var ws Workspace
 	cases := []struct {
 		name string
 		call func() error
 		want string
 	}{
-		{"Solve nil matrix", func() error { _, err := Solve(Problem{C: []float64{1}, B: []float64{1}}); return err },
-			"lp: nil constraint matrix"},
-		{"Solve short b", func() error { _, err := Solve(Problem{C: make([]float64, 3), A: a23, B: []float64{1}}); return err },
-			"lp: b has length 1, want 2"},
-		{"Solve short c", func() error { _, err := Solve(Problem{C: []float64{1}, A: a23, B: make([]float64, 2)}); return err },
-			"lp: c has length 1, want 3"},
-		{"MinimizeL1Residual nil matrix", func() error { _, err := MinimizeL1Residual(nil, []float64{1}); return err },
-			"lp: MinimizeL1Residual: nil matrix"},
-		{"MinimizeL1Residual short y", func() error { _, err := MinimizeL1Residual(a23, []float64{1}); return err },
-			"lp: y has length 1, want 2"},
-		{"BasisPursuitNonPositive nil matrix", func() error { _, err := BasisPursuitNonPositive(nil, nil); return err },
-			"lp: BasisPursuitNonPositive: nil matrix"},
-		{"BasisPursuitNonPositive short y", func() error { _, err := BasisPursuitNonPositive(a23, nil); return err },
-			"lp: y has length 0, want 2"},
-		{"MinimizeL1ResidualNonPositive nil matrix", func() error { _, err := MinimizeL1ResidualNonPositive(nil, nil); return err },
+		{"MinimizeL1ResidualNonPositive nil matrix", func() error { _, err := ws.MinimizeL1ResidualNonPositive(nil, nil); return err },
 			"lp: MinimizeL1ResidualNonPositive: nil matrix"},
-		{"MinimizeL1ResidualNonPositive short y", func() error { _, err := MinimizeL1ResidualNonPositive(a23, []float64{1, 2, 3}); return err },
+		{"MinimizeL1ResidualNonPositive short y", func() error { _, err := ws.MinimizeL1ResidualNonPositive(a23, []float64{1, 2, 3}); return err },
 			"lp: y has length 3, want 2"},
-		{"IRLSL1 nil matrix", func() error { _, err := IRLSL1(nil, nil, 0); return err },
-			"lp: IRLSL1: nil matrix"},
-		{"IRLSL1 short y", func() error { _, err := IRLSL1(a23, []float64{1}, 0); return err },
-			"lp: y has length 1, want 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,10 +38,12 @@ func TestSolverDimensionErrors(t *testing.T) {
 }
 
 // TestSolversSurviveRandomShapes is the fuzz-style randomized-input check:
-// every solver fed random (often inconsistent) shapes must return — with a
-// result or an error — and never panic.
+// the solver fed random (often inconsistent) shapes — empty rows or columns,
+// mismatched y, positive and negative y — must return a result or an error
+// and never panic, and every result must carry an optimality certificate.
 func TestSolversSurviveRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var reused Workspace
 	for trial := 0; trial < 300; trial++ {
 		m, n := rng.Intn(5), rng.Intn(5)
 		a := linalg.NewMatrix(m, n)
@@ -69,20 +54,22 @@ func TestSolversSurviveRandomShapes(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
-		c := make([]float64, rng.Intn(6))
-		_, _ = Solve(Problem{C: c, A: a, B: y})
-		_, _ = MinimizeL1Residual(a, y)
-		_, _ = BasisPursuitNonPositive(a, y)
-		_, _ = MinimizeL1ResidualNonPositive(a, y)
-		_, _ = IRLSL1(a, y, 3)
-		var ws Workspace
-		_, _ = ws.MinimizeL1ResidualNonPositive(a, y)
+		for _, ws := range []*Workspace{new(Workspace), &reused} {
+			x, err := ws.MinimizeL1ResidualNonPositive(a, y)
+			if err != nil {
+				continue
+			}
+			if err := checkCertificate(a, y, x, ws.duals()); err != nil {
+				t.Fatalf("trial %d (%d×%d): %v", trial, m, n, err)
+			}
+		}
 	}
 }
 
-// TestWorkspaceSolveMatchesSolve pins the workspace simplex against the
-// allocating entry point: same problems, bit-identical solutions, across a
-// reused workspace.
+// TestWorkspaceSolveMatchesSolve pins the solve as a pure function of
+// (A, y): a workspace reused across differently shaped programs returns
+// solutions bit-identical to a fresh workspace's, so no basis or buffer
+// contents leak from one solve into the next.
 func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var ws Workspace
@@ -96,17 +83,17 @@ func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
-		want, wantErr := MinimizeL1ResidualNonPositive(a, y)
+		want, wantErr := new(Workspace).MinimizeL1ResidualNonPositive(a, y)
 		got, gotErr := ws.MinimizeL1ResidualNonPositive(a, y)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: workspace err %v, allocating err %v", trial, gotErr, wantErr)
+			t.Fatalf("trial %d: reused err %v, fresh err %v", trial, gotErr, wantErr)
 		}
 		if wantErr != nil {
 			continue
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("trial %d: workspace x[%d]=%v, allocating %v", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: reused x[%d]=%v, fresh %v", trial, i, got[i], want[i])
 			}
 		}
 	}

@@ -8,9 +8,11 @@ import (
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	tomography "repro"
 	"repro/internal/bitset"
 )
 
@@ -362,5 +364,44 @@ func assertError(t *testing.T, status int, body string, wantStatus int, wantErr 
 	}
 	if envelope.Error != wantErr {
 		t.Fatalf("error mismatch:\n got: %s\nwant: %s", envelope.Error, wantErr)
+	}
+}
+
+// TestNonFiniteEstimateIs500 pins how a refused non-finite estimate
+// surfaces: the estimator's wrapped ErrNonFiniteEstimate maps to a 500 with
+// the JSON error envelope, and is counted both as an estimate error and on
+// its own /metrics counter.
+func TestNonFiniteEstimateIs500(t *testing.T) {
+	d := New(Config{Shards: 1, QueueDepth: 4})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	defer d.Shutdown(context.Background())
+
+	cases := []struct {
+		name       string
+		err        error
+		wantStatus int
+	}{
+		{"non-finite right-hand side", fmt.Errorf("%w: equation 3 has right-hand side NaN", tomography.ErrNonFiniteEstimate), http.StatusInternalServerError},
+		{"non-finite solution", fmt.Errorf("%w: link 7 solved to NaN by the l1 solver", tomography.ErrNonFiniteEstimate), http.StatusInternalServerError},
+		{"other estimate failure", fmt.Errorf("core: no usable equations"), http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		d.metrics.estimateFailed(c.err)
+		rec := httptest.NewRecorder()
+		d.writeError(rec, c.err)
+		if rec.Code != c.wantStatus {
+			t.Fatalf("%s: status %d, want %d", c.name, rec.Code, c.wantStatus)
+		}
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != c.err.Error() {
+			t.Fatalf("%s: body %q (%v), want error %q", c.name, rec.Body.String(), err, c.err.Error())
+		}
+	}
+	_, metrics := get(t, srv.URL+"/metrics", nil)
+	for _, want := range []string{"tomod_estimate_errors_total 3", "tomod_estimate_nonfinite_total 2"} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+		}
 	}
 }

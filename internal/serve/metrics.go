@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
 	"time"
+
+	tomography "repro"
 )
 
 // metrics is the daemon's process-wide instrumentation: lock-free atomic
@@ -27,11 +30,20 @@ type metrics struct {
 	ingestBytesBinary   atomic.Int64 // accepted request-body bytes, binary
 	estimates           atomic.Int64 // estimates served
 	estimateErrors      atomic.Int64 // estimate requests that failed (incl. warming)
+	estimateNonFinite   atomic.Int64 // estimates refused as non-finite (also in estimateErrors)
 	changePoints        atomic.Int64 // CUSUM change-point alerts across tenants
 	viewsPublished      atomic.Int64 // window views published to estimate replicas
 	viewPublishFull     atomic.Int64 // publications that copied the whole window
 	viewPublishWords    atomic.Int64 // column words copied by publications
 	estimateLatency     histogram    // enqueue-to-reply estimate latency
+}
+
+// estimateFailed counts an estimate that failed with err.
+func (m *metrics) estimateFailed(err error) {
+	m.estimateErrors.Add(1)
+	if errors.Is(err, tomography.ErrNonFiniteEstimate) {
+		m.estimateNonFinite.Add(1)
+	}
 }
 
 // latencyBuckets is the number of exponential histogram buckets. Bucket 0
@@ -130,6 +142,7 @@ func (m *metrics) writeTo(w io.Writer, tenants []tenantStats, queueLens []int, e
 	counter("tomod_ingest_bytes_binary_total", "Accepted request-body bytes on the TOMOW1 binary wire format.", m.ingestBytesBinary.Load())
 	counter("tomod_estimates_total", "Estimates served.", m.estimates.Load())
 	counter("tomod_estimate_errors_total", "Estimate requests that failed (including window warm-up).", m.estimateErrors.Load())
+	counter("tomod_estimate_nonfinite_total", "Estimates refused with 500 because the solve produced a NaN or infinite value.", m.estimateNonFinite.Load())
 	counter("tomod_change_points_total", "CUSUM change-point alerts across all tenants.", m.changePoints.Load())
 	counter("tomod_views_published_total", "Window views published to the estimate replicas.", m.viewsPublished.Load())
 	counter("tomod_view_publish_full_total", "View publications that fell back to copying the whole window (or spill buffer).", m.viewPublishFull.Load())

@@ -166,7 +166,7 @@ func (d *Daemon) estimateBox(ws *tomography.Workspace, t *Tenant, box *viewBox) 
 	}
 	res, err := box.view.EstimateIn(ws)
 	if err != nil {
-		d.metrics.estimateErrors.Add(1)
+		d.metrics.estimateFailed(err)
 		return nil, err
 	}
 	probs := make([]float64, len(res.CongestionProb))

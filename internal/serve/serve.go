@@ -434,6 +434,8 @@ func (d *Daemon) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.As(err, &duplicate):
 		status = http.StatusConflict
+	case errors.Is(err, tomography.ErrNonFiniteEstimate):
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }

@@ -74,7 +74,7 @@ func (d *Daemon) estimateTenant(ws *tomography.Workspace, t *Tenant) (*EstimateR
 	}
 	res, err := tomography.EstimateIn(ws, t.estimator, t.win.Plan(), t.win.Source(), t.opts)
 	if err != nil {
-		d.metrics.estimateErrors.Add(1)
+		d.metrics.estimateFailed(err)
 		return nil, err
 	}
 	probs := make([]float64, len(res.CongestionProb))

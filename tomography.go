@@ -107,6 +107,11 @@ type (
 	MLEOptions = mle.Options
 )
 
+// ErrNonFiniteEstimate is returned (wrapped) by the linear estimators when
+// the equation system or its solution holds a NaN or an infinity: the
+// estimate is refused rather than served with non-finite probabilities.
+var ErrNonFiniteEstimate = core.ErrNonFiniteEstimate
+
 // Re-exported inference-plan types. A Plan is compiled once per topology
 // (Compile) and shared — safely, across goroutines — by every estimator
 // run over that topology.
